@@ -98,7 +98,7 @@ class Recommender:
             self._index = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(self._candidates, n_workers=index_workers)
-            self._index.precompute_impact(self._params.alpha)
+            self._index.vector_view()
         self._profile_cache: dict[str, UserProfile] = {}
 
     # ------------------------------------------------------------------

@@ -209,8 +209,8 @@ class RetrievalEngine:
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(corpus, n_workers=index_workers)
         if self._index is not None:
-            # First query pays no per-posting sorting cost.
-            self._index.precompute_impact(self._params.alpha)
+            # Build the served structure now, so no query pays for it.
+            self._index.vector_view()
         self._clique_cache: dict[frozenset, tuple[Clique, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -235,14 +235,19 @@ class RetrievalEngine:
     def adopt_index(self, index: CliqueInvertedIndex) -> None:
         """Install a prebuilt (typically loaded) index on an engine
         constructed with ``build_index=False`` — the serving layer's
-        load path.  The index must cover the parameters' clique bound."""
+        load path.  The index must cover the parameters' clique bound.
+
+        Builds the vector view the default mode reads (for an mmap'd
+        segment, the one-pass id decode, which raises
+        :class:`~repro.index.binfmt.BinaryFormatError` on a corrupt
+        stream before anything is adopted); no posting is materialized."""
         if index.max_clique_size < self._max_clique_size:
             raise ValueError(
                 f"prebuilt index covers cliques up to size {index.max_clique_size}, "
                 f"but the parameters need {self._max_clique_size}"
             )
+        index.vector_view()
         self._index = index
-        self._index.precompute_impact(self._params.alpha)
 
     def with_params(self, params: MRFParameters) -> "RetrievalEngine":
         """Clone sharing corpus, correlation model and index, with new
@@ -276,11 +281,10 @@ class RetrievalEngine:
         ingest scores new objects against the statistics the serving
         snapshot was built with, so rankings over (main + delta) are
         bit-identical to a from-scratch build *with the same model* —
-        a full ``repro index build`` refreshes the statistics.  Impact
-        precompute goes through the index, which for a segmented index
-        only warms the delta postings (the shared main segment keeps
-        its caches across generations), keeping the publish cost
-        proportional to the delta.
+        a full ``repro index build`` refreshes the statistics.  The
+        stack's vector view is built here; it reuses the shared main
+        segment's view, so the publish cost stays proportional to the
+        delta.
         """
         if index.max_clique_size < self._max_clique_size:
             raise ValueError(
@@ -292,9 +296,9 @@ class RetrievalEngine:
         clone._params = self._params
         clone._correlations = self._correlations
         clone._max_clique_size = self._max_clique_size
+        index.vector_view()
         clone._index = index
         clone._clique_cache = {}
-        index.precompute_impact(self._params.alpha)
         return clone
 
     # ------------------------------------------------------------------

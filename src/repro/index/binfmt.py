@@ -2,9 +2,11 @@
 
 ``index.jsonl`` (format v2) parses every posting line on load: ~1 s at
 toy sizes and O(corpus) everywhere.  Format v3 is the classic IR
-answer: one file of packed contiguous sections that a reader ``mmap``s
-and decodes *per clique on demand*, so opening an index costs header
-parsing plus CRC sweeps — not a parse of every posting.
+answer: one file of packed contiguous sections that a reader ``mmap``s,
+so opening an index costs header parsing plus CRC sweeps — not a parse
+of every posting.  The id streams decode in one vectorized pass over
+the whole ``postings`` section when first needed; the float sections
+are never decoded at all (zero-copy views).
 
 Layout (all integers little-endian, sections 8-byte aligned)::
 
@@ -72,7 +74,8 @@ to its ``StorageError`` taxonomy.  Metadata sections are CRC-checked
 at open; the payload sections (``postings``/``freq``/``smooth``) are
 checked too unless ``verify_payload=False`` (the escape hatch for
 paper-scale files where an O(file) CRC sweep is unwanted — structural
-bounds checks and per-posting varint validation still apply).
+bounds checks and the decode's per-posting varint validation still
+apply).
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index.compression import decode_postings, encode_postings
+from repro.index.compression import decode_posting_spans, encode_postings
 from repro.index.postings import Posting
 
 MAGIC = b"RPROIDX3"
@@ -404,9 +407,10 @@ class BinaryIndexReader:
     Opening parses the header and section table, validates structure
     (bounds, string-table monotonicity, postmeta consistency, the order
     permutation) and CRC-checks the metadata sections — plus the
-    payload sections when ``verify_payload`` (the default).  Postings
-    decode lazily, one clique at a time; the float arrays are zero-copy
-    views into the mapping.
+    payload sections when ``verify_payload`` (the default).  The id
+    streams of every posting decode together, in one vectorized pass on
+    first use (:meth:`dense_ids`); the float arrays are zero-copy views
+    into the mapping.
 
     The mapping is read-only and shared: concurrent readers (threads or
     forked worker processes) and successive serving generations over
@@ -572,9 +576,9 @@ class BinaryIndexReader:
         else:
             self._blockmax_freq = None
             self._blockmax_smooth = None
-        #: slot -> decoded dense-id array; repeated queries against the
-        #: same mapping must not re-run the varint decode.
-        self._dense_ids_cache: dict[int, np.ndarray] = {}
+        #: every posting's decoded dense ids, entry-ordered; filled by
+        #: the first :meth:`dense_ids` call.
+        self._dense_ids: np.ndarray | None = None
 
     def _section(self, name: str) -> tuple[int, int]:
         return self.sections[name]
@@ -784,55 +788,94 @@ class BinaryIndexReader:
         cors = float(self._postmeta[slot]["cors"])
         return None if math.isnan(cors) else cors
 
-    def posting_dense_ids(self, slot: int, *, cache: bool = True) -> np.ndarray:
+    def posting_dense_ids(self, slot: int) -> np.ndarray:
         """The ascending dense object ids of slot ``slot`` as an int64
-        array, decoded once and cached per slot — repeated queries
-        against the same mapping never re-run the varint decode.
-
-        The returned array is shared; callers must treat it read-only.
-        ``cache=False`` decodes without populating the per-slot cache —
-        the full-file sweep of the segment merge must not pin every
-        decoded posting in memory.
-        """
-        cached = self._dense_ids_cache.get(slot)
-        if cached is not None:
-            return cached
-        # scalar extraction only — holding the structured row (a view
-        # into the mapping) in a local would pin the mmap open if this
-        # frame ends up captured by an exception traceback.
-        post_off = int(self._postmeta[slot]["post_off"])
-        post_len = int(self._postmeta[slot]["post_len"])
+        array: a zero-copy, read-only slice of :meth:`dense_ids`."""
+        entry_off = int(self._postmeta[slot]["entry_off"])
         count = int(self._postmeta[slot]["count"])
-        start = self._post_base + post_off
-        data = self._mm[start:start + post_len]
+        return self.dense_ids()[entry_off:entry_off + count]
+
+    def dense_ids(self) -> np.ndarray:
+        """Every posting's ascending dense ids as one flat read-only
+        int64 array, parallel to the ``freq``/``smooth`` sections (slot
+        ``s`` owns ``[entry_off, entry_off + count)``).
+
+        Decoded in one vectorized pass on the first call and kept for
+        the reader's lifetime.  Concurrent first calls each decode the
+        same bytes to equal arrays; the last write wins.
+        """
+        flat = self._dense_ids
+        if flat is None:
+            flat = self._decode_postings()
+            self._dense_ids = flat
+        return flat
+
+    def _decode_postings(self) -> np.ndarray:
+        """Decode the whole ``postings`` section with every check a
+        per-posting decode makes (exact count, no truncated or over-long
+        varint, ids inside the object table), requiring the slot-ordered
+        back-to-back layout both v3 writers produce."""
+        post_off, post_len, counts, entry_off, _ = self.postmeta_columns()
+        base = self._post_base
+        byte_ends = np.cumsum(post_len)
+        byte_starts = byte_ends - post_len
+        entry_ends = np.cumsum(counts)
+        misplaced = np.flatnonzero(
+            (post_off != byte_starts) | (entry_off != entry_ends - counts)
+        )
+        if misplaced.size:
+            slot = int(misplaced[0])
+            raise BinaryFormatError(
+                f"posting stream for slot {slot} is not stored back to back "
+                "in slot order",
+                section="postings",
+                offset=base + int(post_off[slot]),
+            )
+        n_bytes = int(byte_ends[-1]) if byte_ends.size else 0
+        # A bytes copy, not a view: a view captured by an exception
+        # traceback would pin the mapping past close().
+        data = self._mm[base:base + n_bytes]
+        terminal = (np.frombuffer(data, dtype=np.uint8) & 0x80) == 0
+        terminals_before = np.zeros(n_bytes + 1, dtype=np.int64)
+        np.cumsum(terminal, out=terminals_before[1:])
+        decoded = terminals_before[byte_ends] - terminals_before[byte_starts]
+        truncated = np.zeros(len(counts), dtype=bool)
+        nonempty = post_len > 0
+        truncated[nonempty] = ~terminal[byte_ends[nonempty] - 1]
+        bad = np.flatnonzero(truncated | (decoded != counts))
+        if bad.size:
+            slot = int(bad[0])
+            problem = (
+                "ends in a truncated varint"
+                if truncated[slot]
+                else f"decodes to {int(decoded[slot])} ids, postmeta promises "
+                f"{int(counts[slot])}"
+            )
+            raise BinaryFormatError(
+                f"posting stream for slot {slot} {problem}",
+                section="postings",
+                offset=base + int(post_off[slot]),
+            )
         try:
-            ranks = decode_postings(data)
+            flat = decode_posting_spans(data, counts)
         except ValueError as exc:
             raise BinaryFormatError(
-                f"undecodable posting stream for slot {slot}: {exc}",
-                section="postings",
-                offset=start,
+                f"undecodable posting streams: {exc}", section="postings", offset=base
             ) from exc
-        if len(ranks) != count:
+        # A huge gap can wrap the int64 running sum; the first wrapped
+        # id of a posting is negative, so the range test catches it too.
+        outside = np.flatnonzero((flat < 0) | (flat >= self._n_objid))
+        if outside.size:
+            entry = int(outside[0])
+            slot = int(np.searchsorted(entry_ends, entry, side="right"))
             raise BinaryFormatError(
-                f"posting stream for slot {slot} decodes to {len(ranks)} ids, "
-                f"postmeta promises {count}",
+                f"posting stream for slot {slot} references dense id "
+                f"{int(flat[entry])} outside the object table ({self._n_objid} ids)",
                 section="postings",
-                offset=start,
+                offset=base + int(post_off[slot]),
             )
-        if ranks and ranks[-1] >= self._n_objid:
-            raise BinaryFormatError(
-                f"posting stream for slot {slot} references dense id {ranks[-1]} "
-                f"outside the object table ({self._n_objid} ids)",
-                section="postings",
-                offset=start,
-            )
-        arr = np.asarray(ranks, dtype=np.int64)
-        if cache:
-            # benign last-write-wins race under concurrent readers, same
-            # discipline as the segment's posting cache.
-            self._dense_ids_cache[slot] = arr
-        return arr
+        flat.flags.writeable = False
+        return flat
 
     def posting_components(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(freq, smooth)`` f64 views of slot ``slot``,
@@ -871,7 +914,7 @@ class BinaryIndexReader:
         lists are parallel to them and bit-exact (f64 round trip).
         """
         ranks = self.posting_dense_ids(slot)
-        count = int(self._postmeta[slot]["count"])
+        count = len(ranks)
         ids = [self.object_id_at(int(r)) for r in ranks]
         entry_off = int(self._postmeta[slot]["entry_off"])
         freq = self._freq[entry_off:entry_off + count].tolist()
@@ -981,11 +1024,10 @@ class BinaryIndexReader:
             "_blockmax_freq",
             "_blockmax_smooth",
             "_block_offsets",
+            "_dense_ids",
         ):
             if hasattr(self, attr):
                 delattr(self, attr)
-        if hasattr(self, "_dense_ids_cache"):
-            self._dense_ids_cache.clear()
         if hasattr(self, "_mm"):
             try:
                 self._mm.close()

@@ -205,12 +205,6 @@ class CliqueInvertedIndex:
             posting.rescore(components)
         self._vector_view = None
 
-    def precompute_impact(self, alpha: float) -> None:
-        """Materialize every posting's impact-ordered view for ``alpha``
-        so the first query pays no sorting cost."""
-        for posting in self._postings.values():
-            posting.impact_view(alpha)
-
     def vector_view(self) -> InMemoryVectorView | MmapVectorView | SegmentedVectorView:
         """Cached vector access surface for the vectorized query engine
         (see :mod:`repro.index.vectorized`); rebuilt after any mutation

@@ -2,12 +2,17 @@
 
 :class:`MmapCliqueIndex` is a read-only :class:`CliqueInvertedIndex`
 whose postings live in a :class:`~repro.index.binfmt.BinaryIndexReader`
-mapping and decode **lazily, one clique per first touch**.  A decoded
-posting is a plain :class:`~repro.index.postings.Posting`, so every
-downstream consumer — ``impact_view`` caching, ``ImpactSortedSource``,
-the Threshold Algorithm, the rescore parity path — works unchanged and
-produces bit-identical rankings; queries only ever pay for the cliques
-they actually touch.
+mapping.  Opening is O(metadata).  The served engine reads the mapping
+through :meth:`MmapCliqueIndex.vector_view`, whose construction runs
+the reader's one vectorized decode of every posting's id stream; after
+that a clique's arrays are zero-copy slices, and no Python object is
+built per posting.
+
+The scalar reference paths (``lookup``, ``iter_postings``) materialize
+a plain :class:`~repro.index.postings.Posting` **lazily, one clique per
+first touch**, so ``impact_view`` caching, ``ImpactSortedSource``, the
+Threshold Algorithm and the rescore parity path work unchanged and
+produce bit-identical rankings.
 
 Concurrency: serving threads may race to materialize the same posting;
 both build equal objects from the same bytes and the last dict write
@@ -131,15 +136,12 @@ class MmapCliqueIndex(CliqueInvertedIndex):
                 result.update(posting.object_ids)
         return result
 
-    def precompute_impact(self, alpha: float) -> None:
-        for posting in self.iter_postings():
-            posting.impact_view(alpha)
-
     def vector_view(self) -> MmapVectorView:
         """Zero-copy vector access straight off the mapping — no
-        posting is ever materialized; decoded dense-id arrays are
-        cached per clique inside the reader, so repeated queries
-        against the same snapshot skip the varint decode."""
+        posting is ever materialized.  The first call decodes every id
+        stream in one vectorized pass (and raises
+        :class:`~repro.index.binfmt.BinaryFormatError` on a corrupt
+        one); each clique's ids are then a slice of that array."""
         if self._vector_view is None:
             self._vector_view = MmapVectorView(self._reader, self._cor)
         return self._vector_view

@@ -531,11 +531,13 @@ class _PooledViewMixin:
 
 
 class MmapVectorView(_PooledViewMixin):
-    """Vector access to a v3 segment: zero-copy component views, the
-    reader's cached dense-id decode, and stored block maxima (rebuilt
-    in memory for artifacts written before the ``blockmax`` section)."""
+    """Vector access to a v3 segment: zero-copy component views, slices
+    of the reader's one-pass dense-id decode, and stored block maxima
+    (rebuilt in memory for artifacts written before the ``blockmax``
+    section).  Construction runs the decode, so no query pays it."""
 
     def __init__(self, reader: BinaryIndexReader, correlations: CorrelationModel) -> None:
+        reader.dense_ids()
         self._reader = reader
         self._cor = correlations
         self._cache: dict[str, PostingVectors | None] = {}

@@ -37,6 +37,7 @@ from repro.core.mrf import MRFParameters
 from repro.core.objects import MediaObject
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
+from repro.index.binfmt import BinaryFormatError
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import merge_segment_files
 from repro.index.segment import MmapCliqueIndex
@@ -138,9 +139,15 @@ class EngineSnapshot:
         manager calls this once the snapshot is retired and the last
         lease is released — never while a request may still read it.
         """
-        closer = getattr(self.engine.index, "close", None)
-        if closer is not None:
-            closer()
+        _release(self.engine.index)
+
+
+def _release(index: CliqueInvertedIndex | None) -> None:
+    """Close ``index`` when it holds OS resources (an mmap'd segment
+    does; an in-memory index has no ``close``)."""
+    closer = getattr(index, "close", None)
+    if closer is not None:
+        closer()
 
 
 def build_snapshot(
@@ -209,9 +216,13 @@ def _attach_index(
     A stale artifact (object count differing from the corpus) or a
     corrupt one falls through — first to the next artifact format, then
     to building — serving correctness never depends on an artifact
-    being right, only cold-start time does.  The binary artifact's
-    mapping is read-only, so successive generations reloading the same
-    file share page-cache pages instead of re-parsing.
+    being right, only cold-start time does.  Corruption shows either at
+    open or, for a posting stream whose payload checksum was skipped,
+    in the decode :meth:`RetrievalEngine.adopt_index` runs; a rejected
+    artifact is closed at once, releasing its mapping.  The binary
+    artifact's mapping is read-only, so successive generations
+    reloading the same file share page-cache pages instead of
+    re-parsing.
     """
     for name in INDEX_ARTIFACTS:
         artifact = directory.joinpath(name)
@@ -226,8 +237,13 @@ def _attach_index(
         except StorageError:
             continue
         if index.n_objects != len(corpus):
+            _release(index)
             continue
-        engine.adopt_index(index)
+        try:
+            engine.adopt_index(index)
+        except BinaryFormatError:
+            _release(index)
+            continue
         stats = index.stats()
         return engine, IndexProvenance(
             origin="loaded",

@@ -547,9 +547,10 @@ def load_index(
 ) -> CliqueInvertedIndex:
     """Load an index artifact, autodetecting its format by content.
 
-    v3 binary artifacts (magic sniff) come back as a lazily-decoding
-    :class:`MmapCliqueIndex` — O(metadata) to open, postings decode per
-    clique on first touch.  v2 JSONL artifacts parse eagerly as before;
+    v3 binary artifacts (magic sniff) come back as an
+    :class:`MmapCliqueIndex` — O(metadata) to open; the id streams
+    decode in one vectorized pass when the index is adopted for
+    serving.  v2 JSONL artifacts parse eagerly as before;
     v1 artifacts (posting ids only) additionally need ``corpus`` to
     recompute the components — without it the load fails rather than
     silently returning an index that scores everything 0.

@@ -94,6 +94,20 @@ def test_scan_only_recommender(rec_corpus):
     assert rec.recommend(user, k=3, mode="scan")
 
 
+def test_init_builds_vector_view_not_impact_views(rec_corpus):
+    """Construction warms only what the default mode reads; the scalar
+    mode's impact views are built lazily, per clique, on first touch."""
+    rec = Recommender(rec_corpus)
+    index = rec._index
+    assert index._vector_view is not None
+    assert not any(posting._views for posting in index.iter_postings())
+    user = rec_corpus.favorite_users()[0]
+    rec.recommend(user, k=3)
+    assert not any(posting._views for posting in index.iter_postings())
+    assert rec.recommend(user, k=3, mode="index") == rec.recommend(user, k=3)
+    assert any(posting._views for posting in index.iter_postings())
+
+
 def test_with_params_shares_structures(recommender):
     clone = recommender.with_params(MRFParameters(delta=0.5))
     assert clone.candidates is recommender.candidates

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import math
 import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.index.binfmt import (
     BINARY_FORMAT_VERSION,
@@ -24,6 +29,7 @@ from repro.index.binfmt import (
     read_section_table,
     write_index_file,
 )
+from repro.index.compression import decode_postings
 from repro.index.postings import Posting
 
 
@@ -290,3 +296,136 @@ def test_magic_is_stable():
     existing artifact."""
     assert MAGIC == b"RPROIDX3"
     assert BINARY_FORMAT_VERSION == 3
+
+
+# ----------------------------------------------------------------------
+# one-pass postings decode
+# ----------------------------------------------------------------------
+def _assert_decode_matches_per_posting(path):
+    """The flat decode equals ``decode_postings`` run on each slot's
+    stream, slot by slot, and its slices are the per-slot arrays."""
+    with BinaryIndexReader(path) as reader:
+        post_off, post_len, *_ = reader.postmeta_columns()
+        expected = [
+            decode_postings(reader.postings_byte_range(int(off), int(off + n)))
+            for off, n in zip(post_off, post_len)
+        ]
+        got = [reader.posting_dense_ids(slot).tolist() for slot in range(reader.n_cliques)]
+        assert got == expected
+        assert reader.dense_ids().tolist() == [i for ids in expected for i in ids]
+        assert not reader.dense_ids().flags.writeable
+
+
+def test_one_pass_decode_matches_per_posting_samples(tmp_path):
+    for name, postings, n_objects in (
+        ("sample.bin", _sample_postings(), 12),
+        ("blocky.bin", _blocky_postings(), 200),
+        ("one-empty.bin", [Posting("tag:empty", cors=0.0)], 0),
+        ("empty.bin", [], 0),
+    ):
+        path = write_index_file(
+            tmp_path / name, postings, n_objects=n_objects, max_clique_size=2
+        )
+        _assert_decode_matches_per_posting(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 600), max_size=30), max_size=6))
+def test_one_pass_decode_matches_per_posting_random(id_sets):
+    postings = []
+    for i, ids in enumerate(id_sets):
+        posting = Posting(f"tag:k{i:02d}", cors=0.5)
+        for oid in sorted(ids, reverse=True):
+            posting.add(f"o{oid:04d}", 1.0, 0.5)
+        postings.append(posting)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_index_file(
+            Path(tmp) / "index.bin", postings, n_objects=601, max_clique_size=2
+        )
+        _assert_decode_matches_per_posting(path)
+        with BinaryIndexReader(path) as reader:
+            for posting in postings:
+                slot = reader.find_slot(posting.key)
+                ids = [reader.object_id_at(int(r)) for r in reader.posting_dense_ids(slot)]
+                assert ids == sorted(posting.object_ids)
+
+
+def _patch_stream(path, slot, stream):
+    """Overwrite slot ``slot``'s posting stream with ``stream`` (same
+    length), leaving the payload CRC stale."""
+    with BinaryIndexReader(path) as reader:
+        post_off, post_len, *_ = reader.postmeta_columns()
+    assert len(stream) == post_len[slot]
+    start = read_section_table(path)["postings"][0] + int(post_off[slot])
+    data = bytearray(path.read_bytes())
+    data[start:start + len(stream)] = stream
+    path.write_bytes(bytes(data))
+
+
+def _patch_post_off(path, slot, post_off):
+    """Rewrite one postmeta ``post_off`` and re-seal the postmeta and
+    section-table CRCs, so only the layout check can object."""
+    data = bytearray(path.read_bytes())
+    offset, length = read_section_table(path)["postmeta"]
+    struct.pack_into("<Q", data, offset + 32 * slot, post_off)
+    (n_sections,) = struct.unpack_from("<I", data, 20)
+    for record in range(52, 52 + 32 * n_sections, 32):
+        if bytes(data[record:record + 8]).rstrip(b"\x00") == b"postmeta":
+            crc = zlib.crc32(bytes(data[offset:offset + length]))
+            struct.pack_into("<I", data, record + 24, crc)
+    table_end = 52 + 32 * n_sections
+    struct.pack_into("<I", data, table_end, zlib.crc32(bytes(data[52:table_end])))
+    path.write_bytes(bytes(data))
+
+
+def _decode_error(path):
+    with BinaryIndexReader(path, verify_payload=False) as reader:
+        with pytest.raises(BinaryFormatError) as exc_info:
+            reader.dense_ids()
+    assert exc_info.value.section == "postings"
+    return str(exc_info.value)
+
+
+# Slots of ``_sample_postings`` (key order): 0 "tag:alpha" = [0],
+# 1 "tag:empty" = [], 2 "tag:ünïcode|tag:zebra" = [0, 1, 2]; every gap
+# is 0, so each stream is all zero bytes.
+def test_decode_rejects_per_posting_count_mismatch(artifact):
+    _patch_stream(artifact, 2, b"\x80\x00\x00")
+    message = _decode_error(artifact)
+    assert "slot 2 decodes to 2 ids, postmeta promises 3" in message
+
+
+def test_decode_rejects_truncated_varint(artifact):
+    _patch_stream(artifact, 2, b"\x00\x00\x80")
+    assert "slot 2 ends in a truncated varint" in _decode_error(artifact)
+
+
+def test_decode_rejects_id_outside_object_table(artifact):
+    _patch_stream(artifact, 2, b"\x00\x00\x05")  # ids 0, 1, 7 of 3
+    assert "slot 2 references dense id 7 outside the object table" in _decode_error(
+        artifact
+    )
+
+
+def test_decode_rejects_overlong_varint(tmp_path):
+    """Ten 2-byte gaps leave room for one 10-byte varint while every
+    stream still holds its promised count of values."""
+    filler = Posting("tag:filler", cors=0.5)
+    for i in range(1300):
+        filler.add(f"f{i:04d}", 1.0, 0.5)
+    wide = Posting("tag:wide", cors=0.5)
+    for i in range(10):
+        wide.add(f"f{130 * i + 129:04d}", 1.0, 0.5)
+    path = write_index_file(
+        tmp_path / "index.bin", [filler, wide], n_objects=1300, max_clique_size=2
+    )
+    _patch_stream(path, 1, b"\x80" * 9 + b"\x00" + b"\x81\x00" + b"\x00" * 8)
+    assert "varint longer than 9 bytes" in _decode_error(path)
+
+
+def test_decode_rejects_streams_out_of_slot_order(artifact):
+    # slot 0's one-byte stream moved behind slot 2's: every stream still
+    # lies inside the section (open succeeds), but not back to back.
+    _patch_post_off(artifact, 0, 3)
+    _patch_post_off(artifact, 2, 0)
+    assert "slot 0 is not stored back to back" in _decode_error(artifact)

@@ -169,9 +169,3 @@ def test_rescore_restores_build_time_components(tiny_corpus, correlations):
     legacy.set_n_objects(reference.n_objects)
     legacy.rescore(tiny_corpus)
     _assert_identical(reference, legacy)
-
-
-def test_precompute_impact_populates_views(built):
-    built.precompute_impact(0.37)
-    for posting in built.iter_postings():
-        assert 0.37 in posting._views

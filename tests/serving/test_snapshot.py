@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.mrf import MRFParameters
@@ -323,3 +325,65 @@ def test_reload_churn_does_not_leak_fds(tmp_path, tiny_corpus):
     for _ in range(8):
         manager.reload()
     assert len(os.listdir("/proc/self/fd")) <= baseline
+
+
+# ----------------------------------------------------------------------
+# served load is O(metadata): nothing materialized per posting
+# ----------------------------------------------------------------------
+def test_served_binary_load_materializes_nothing(tmp_path, tiny_corpus):
+    """Picking up ``index.bin`` builds the vector view the default mode
+    reads and no Python posting object — the served counterpart of the
+    storage suite's lazy-segment test."""
+    snapshot = build_snapshot(_binary_corpus_dir(tmp_path, tiny_corpus), generation=2)
+    index = snapshot.engine.index
+    assert snapshot.index_provenance.origin == "loaded"
+    assert not index._postings
+    assert index._vector_view is not None
+    snapshot.engine.search(snapshot.corpus[0], k=5)
+    assert not index._postings  # the default query mode reads arrays only
+    snapshot.close()
+
+
+def test_ingest_materializes_nothing_in_main_segment(tmp_path, tiny_corpus):
+    from repro.core.objects import MediaObject
+
+    manager = SnapshotManager(_binary_corpus_dir(tmp_path, tiny_corpus))
+    manager.load()
+    source = tiny_corpus[0]
+    arrival = MediaObject(
+        object_id="ingested-0", features=source.features, timestamp=source.timestamp
+    )
+    snapshot = manager.ingest([arrival], persist=False)
+    stack = snapshot.engine.index
+    assert stack.deltas
+    assert not stack.main._postings
+    assert stack._vector_view is not None
+    hits = snapshot.engine.search(arrival, k=5, exclude_query=False)
+    assert "ingested-0" in {hit.object_id for hit in hits}
+    assert not stack.main._postings
+    snapshot.close()
+
+
+def test_corrupt_posting_stream_falls_back_to_build(tmp_path, tiny_corpus):
+    """A posting stream the skipped payload checksum let through fails
+    the decode at adopt time; the loader closes the artifact and
+    rebuilds instead of crashing the load."""
+    from repro.core.retrieval import RetrievalEngine
+    from repro.index.binfmt import read_section_table
+    from repro.storage.store import load_corpus
+
+    path = _binary_corpus_dir(tmp_path, tiny_corpus)
+    artifact = path / "index.bin"
+    offset, _length = read_section_table(artifact)["postings"]
+    data = bytearray(artifact.read_bytes())
+    data[offset] = 0x80  # continuation bit: slot 0 no longer decodes as stored
+    artifact.write_bytes(bytes(data))
+
+    snapshot = build_snapshot(path, generation=2, verify_payload=False)
+    assert snapshot.index_provenance.origin == "built"
+    maps = Path("/proc/self/maps")
+    if maps.is_file():  # the rejected artifact's mapping is released
+        assert str(artifact.resolve()) not in maps.read_text()
+    fresh = RetrievalEngine(load_corpus(path))
+    for query in list(snapshot.corpus)[:5]:
+        assert snapshot.engine.search(query, k=5) == fresh.search(query, k=5)

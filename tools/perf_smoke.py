@@ -10,10 +10,11 @@ properties the impact-ordering change bought:
   one means TA's early exit stopped firing);
 * **parity** — index-mode rankings stay bit-identical to the pre-change
   per-query rescoring path on every smoke query;
-* **binary store** — the v3 mmap artifact must open fast (load p50
-  under ``--max-binary-load-ms``, default 50 ms), undercut the JSONL
-  artifact on disk, and serve rankings bit-identical to the engine it
-  was saved from on every smoke query;
+* **binary store** — the v3 mmap artifact must be ready to serve fast
+  (p50 of ``load_index`` + ``adopt_index``, the served open, under
+  ``--max-binary-load-ms``, default 50 ms; the open alone is reported
+  beside it), undercut the JSONL artifact on disk, and serve rankings
+  bit-identical to the engine it was saved from on every smoke query;
 * **vectorized scoring** — on a larger corpus (default 2,500 objects)
   the block-max vectorized mode must beat the scalar index mode by at
   least ``--min-vectorized-speedup`` at p50 (default 2.0, i.e. half the
@@ -77,26 +78,33 @@ def _binary_store_report(
     engine: RetrievalEngine, queries: list, k: int, max_load_ms: float
 ) -> dict:
     """Save the smoke engine's index in both formats, compare load
-    times and sizes, and check binary-loaded ranking parity."""
+    times and sizes, and check binary-loaded ranking parity.
+
+    The gated binary time is the served open — ``load_index`` plus
+    ``adopt_index``, which readies the structure queries read — not
+    the mmap open alone, which hides whatever adopting then costs."""
     with tempfile.TemporaryDirectory(prefix="perf_smoke_index_") as tmp:
         bin_path = save_index(engine.index, Path(tmp) / "index.bin")
         jsonl_path = save_index(engine.index, Path(tmp) / "index.jsonl")
         bin_bytes = bin_path.stat().st_size
         jsonl_bytes = jsonl_path.stat().st_size
 
+        loaded = RetrievalEngine(engine.corpus, build_index=False)
+        bin_opens: list[float] = []
         bin_loads: list[float] = []
         for _ in range(LOAD_REPEATS):
             start = time.perf_counter()
-            load_index(bin_path, engine.correlations).close()
+            index = load_index(bin_path, loaded.correlations)
+            opened = time.perf_counter()
+            loaded.adopt_index(index)
             bin_loads.append(time.perf_counter() - start)
+            bin_opens.append(opened - start)
         jsonl_loads: list[float] = []
         for _ in range(LOAD_REPEATS):
             start = time.perf_counter()
             load_index(jsonl_path, engine.correlations)
             jsonl_loads.append(time.perf_counter() - start)
 
-        loaded = RetrievalEngine(engine.corpus, build_index=False)
-        loaded.adopt_index(load_index(bin_path, loaded.correlations))
         parity_failures = [
             q.object_id
             for q in queries
@@ -114,6 +122,8 @@ def _binary_store_report(
         "load_ms": {
             "binary_p50": load_p50_ms,
             "binary_p95": percentile(bin_loads, 95.0) * 1000,
+            "binary_open_p50": percentile(bin_opens, 50.0) * 1000,
+            "binary_open_p95": percentile(bin_opens, 95.0) * 1000,
             "jsonl_p50": jsonl_p50_ms,
             "jsonl_p95": percentile(jsonl_loads, 95.0) * 1000,
             "speedup_p50": jsonl_p50_ms / load_p50_ms if load_p50_ms else 0.0,
@@ -492,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-binary-load-ms",
         type=float,
         default=50.0,
-        help="binary index mmap-load p50 must stay under this many milliseconds",
+        help="binary index served-open (load + adopt) p50 must stay under "
+        "this many milliseconds",
     )
     parser.add_argument(
         "--vectorized-objects",
@@ -587,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     binary = report["binary_index"]
     if not binary["within_load_budget"]:
         print(
-            f"perf-smoke FAIL: binary index load p50 "
+            f"perf-smoke FAIL: binary index served open (load + adopt) p50 "
             f"{binary['load_ms']['binary_p50']:.1f} ms >= budget "
             f"{binary['max_binary_load_ms']:.1f} ms",
             file=sys.stderr,
